@@ -130,51 +130,17 @@ pub fn plan_schedule(
 }
 
 // ---------------------------------------------------------------------
-// Runtime introspection: the live worker-state board and the stall
-// snapshot the threaded executor's watchdog attaches to
+// Runtime introspection: the live state board and the stall snapshot
+// both executors attach to
 // [`ExecError::Stalled`](crate::maps::ExecError::Stalled). The paper's
 // five-state machine makes "where is every processor stuck?" the first
-// diagnostic question; publishing each worker's (state, position,
-// suspended-send depth) through a lock-free board answers it without
-// perturbing the run.
+// diagnostic question; the protocol core publishes each processor's
+// (state, position, suspended-send depth) through a lock-free board on
+// every transition, which answers it without perturbing the run.
 // ---------------------------------------------------------------------
 
+use rapid_trace::ProtoState;
 use std::sync::atomic::{AtomicU64, Ordering as AtOrd};
-
-/// A worker's protocol state (the paper's Figure 3(b) plus bookkeeping
-/// states), as published to the live [`StateBoard`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerState {
-    /// Laying out permanent objects before the protocol starts.
-    Setup,
-    /// Running a memory allocation point (may block on a full mailbox
-    /// slot or a fragmented arena).
-    Map,
-    /// Waiting for the current task's incoming messages.
-    Rec,
-    /// Executing a task body.
-    Exe,
-    /// Emitting the task's outgoing messages.
-    Snd,
-    /// All tasks done; draining the suspended-send queue.
-    End,
-    /// Worker finished.
-    Done,
-}
-
-impl WorkerState {
-    fn from_bits(b: u64) -> WorkerState {
-        match b {
-            0 => WorkerState::Setup,
-            1 => WorkerState::Map,
-            2 => WorkerState::Rec,
-            3 => WorkerState::Exe,
-            4 => WorkerState::Snd,
-            5 => WorkerState::End,
-            _ => WorkerState::Done,
-        }
-    }
-}
 
 /// Lock-free board where every worker publishes `(state, position,
 /// suspended sends)` on each state transition (one relaxed store), so the
@@ -186,22 +152,23 @@ pub struct StateBoard {
 }
 
 impl StateBoard {
-    /// Board for `nprocs` workers, all in [`WorkerState::Setup`].
+    /// Board for `nprocs` workers, all in [`ProtoState::Setup`].
     pub fn new(nprocs: usize) -> Self {
         StateBoard { words: (0..nprocs).map(|_| AtomicU64::new(0)).collect() }
     }
 
     /// Publish worker `p`'s current state (relaxed: diagnostics only).
     #[inline]
-    pub fn publish(&self, p: usize, st: WorkerState, pos: u32, suspended: u32) {
-        let w = ((st as u64) << 60) | (((pos as u64) & 0x0FFF_FFFF) << 32) | suspended as u64;
+    pub fn publish(&self, p: usize, st: ProtoState, pos: u32, suspended: u32) {
+        let w = ((st.idx() as u64) << 60) | (((pos as u64) & 0x0FFF_FFFF) << 32) | suspended as u64;
         self.words[p].store(w, AtOrd::Relaxed);
     }
 
     /// Read worker `p`'s last published `(state, position, suspended)`.
-    pub fn read(&self, p: usize) -> (WorkerState, u32, u32) {
+    pub fn read(&self, p: usize) -> (ProtoState, u32, u32) {
         let w = self.words[p].load(AtOrd::Relaxed);
-        (WorkerState::from_bits(w >> 60), ((w >> 32) & 0x0FFF_FFFF) as u32, w as u32)
+        let st = ProtoState::ALL[((w >> 60) as usize).min(ProtoState::ALL.len() - 1)];
+        (st, ((w >> 32) & 0x0FFF_FFFF) as u32, w as u32)
     }
 }
 
@@ -211,7 +178,7 @@ pub struct ProcDiag {
     /// Processor id.
     pub proc: ProcId,
     /// Last published protocol state.
-    pub state: WorkerState,
+    pub state: ProtoState,
     /// Last published position in the processor's order.
     pub pos: u32,
     /// Length of the processor's order.
@@ -229,13 +196,15 @@ pub struct ProcDiag {
 }
 
 /// Diagnostic photograph of the machine taken by the worker whose stall
-/// watchdog fired, attached to
+/// watchdog fired — or by the DES when its event heap runs dry with work
+/// left — attached to
 /// [`ExecError::Stalled`](crate::maps::ExecError::Stalled).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StallSnapshot {
     /// Processor that tripped the watchdog.
     pub reporter: ProcId,
-    /// The watchdog period that elapsed without local progress.
+    /// The watchdog period that elapsed without local progress (0 when
+    /// the DES reports: its stall is the event heap running dry).
     pub watchdog_ms: u64,
     /// Messages whose arrival flag has been raised, out of the plan total.
     pub msgs_arrived: usize,
@@ -266,11 +235,12 @@ pub struct StallSnapshot {
 
 impl std::fmt::Display for StallSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "stall snapshot (reported by P{} after {} ms without progress; {}/{} messages arrived):",
-            self.reporter, self.watchdog_ms, self.msgs_arrived, self.msgs_total
-        )?;
+        write!(f, "stall snapshot (reported by P{} ", self.reporter)?;
+        match self.watchdog_ms {
+            0 => write!(f, "when the simulation ran out of events")?,
+            ms => write!(f, "after {ms} ms without progress")?,
+        }
+        writeln!(f, "; {}/{} messages arrived):", self.msgs_arrived, self.msgs_total)?;
         for d in &self.procs {
             write!(
                 f,
@@ -340,14 +310,14 @@ mod tests {
     #[test]
     fn state_board_roundtrip() {
         let b = StateBoard::new(3);
-        assert_eq!(b.read(2), (WorkerState::Setup, 0, 0));
-        b.publish(1, WorkerState::Rec, 17, 4);
-        assert_eq!(b.read(1), (WorkerState::Rec, 17, 4));
-        b.publish(1, WorkerState::Done, 20, 0);
-        assert_eq!(b.read(1), (WorkerState::Done, 20, 0));
+        assert_eq!(b.read(2), (ProtoState::Setup, 0, 0));
+        b.publish(1, ProtoState::Rec, 17, 4);
+        assert_eq!(b.read(1), (ProtoState::Rec, 17, 4));
+        b.publish(1, ProtoState::Done, 20, 0);
+        assert_eq!(b.read(1), (ProtoState::Done, 20, 0));
         // Large positions survive the packing.
-        b.publish(0, WorkerState::Exe, 0x0ABC_DEF0, u32::MAX);
-        assert_eq!(b.read(0), (WorkerState::Exe, 0x0ABC_DEF0, u32::MAX));
+        b.publish(0, ProtoState::Exe, 0x0ABC_DEF0, u32::MAX);
+        assert_eq!(b.read(0), (ProtoState::Exe, 0x0ABC_DEF0, u32::MAX));
     }
 
     #[test]
@@ -360,7 +330,7 @@ mod tests {
             procs: vec![
                 ProcDiag {
                     proc: 0,
-                    state: WorkerState::Map,
+                    state: ProtoState::Map,
                     pos: 2,
                     order_len: 5,
                     suspended_sends: 1,
@@ -369,7 +339,7 @@ mod tests {
                 },
                 ProcDiag {
                     proc: 1,
-                    state: WorkerState::Rec,
+                    state: ProtoState::Rec,
                     pos: 3,
                     order_len: 4,
                     suspended_sends: 0,

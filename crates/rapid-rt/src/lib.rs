@@ -6,15 +6,19 @@
 //!   transformed task graph, schedule it, execute it.
 //! - [`maps`] — the memory-allocation-point (MAP) planner shared by both
 //!   executors: dead-point tables, allocation windows, address packages.
-//! - [`des`] — the deterministic discrete-event executor that models
-//!   run-time behaviour (parallel time, #MAPs, blocking on address
-//!   buffers and message arrivals) under a per-processor memory cap; it
-//!   reproduces the paper's Tables 2–8.
-//! - [`threaded`] — the real shared-memory executor: one OS thread per
-//!   simulated processor, RMA stores into remote arenas, single-slot
-//!   address mailboxes, REC/EXE/SND/MAP/END state machine with RA and CQ
-//!   service routines. Exercises the Theorem-1 liveness argument under
-//!   real concurrency and computes actual numeric results.
+//! - `protocol` (internal) — the per-processor protocol core: the
+//!   REC/EXE/SND/MAP/END state machine with its RA and CQ service
+//!   routines, written once as a step function over a driver trait that
+//!   supplies time, delivery, placement and task execution.
+//! - [`des`] — the deterministic discrete-event executor: drives the
+//!   core in virtual time to model run-time behaviour (parallel time,
+//!   #MAPs, blocking on address buffers and message arrivals) under a
+//!   per-processor memory cap; it reproduces the paper's Tables 2–8.
+//! - [`threaded`] — the real shared-memory executor: drives the core on
+//!   one OS thread per simulated processor, with RMA stores into remote
+//!   arenas and single-slot address mailboxes. Exercises the Theorem-1
+//!   liveness argument under real concurrency and computes actual
+//!   numeric results.
 //! - [`recover`] — self-healing supervision: the recovery policy armed on
 //!   the threaded executor (site retries, window checkpoints, rollback &
 //!   re-execution) and the processor-quarantine supervisor that re-plans
@@ -26,6 +30,7 @@
 pub mod des;
 pub mod inspector;
 pub mod maps;
+mod protocol;
 pub mod recover;
 pub mod threaded;
 

@@ -495,8 +495,8 @@ pub enum ExecError {
     Stalled {
         /// Tasks that never ran.
         remaining: usize,
-        /// Diagnostic snapshot taken by the worker whose watchdog fired
-        /// (threaded executor only; the DES has its own debug dump).
+        /// Diagnostic snapshot of every processor, taken by the worker
+        /// whose watchdog fired or by the DES when it ran out of events.
         snapshot: Option<Box<crate::inspector::StallSnapshot>>,
     },
     /// The threaded executor's arena could not satisfy an allocation due
