@@ -7,7 +7,9 @@
 //!
 //! Run with `cargo run --release -p rapid-bench --bin bench`. The JSON is
 //! hand-assembled (no serialization dependency) and committed alongside
-//! the code so executor changes carry a before/after record.
+//! the code so executor changes carry a before/after record. Rows whose
+//! runs may legally fail record `"failed": "<failed>/<attempted>"` over
+//! every run they timed.
 //!
 //! Flags:
 //!
@@ -50,6 +52,43 @@ fn json(entries: &[Entry]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+/// Outcomes of the runs a row timed: a row whose runs may legally fail
+/// (fragmentation at tight capacity, injected faults) records
+/// `"failed": "<failed>/<attempted>"`, so a row that timed failures says
+/// so.
+#[derive(Default)]
+struct Tally {
+    attempted: u64,
+    failed: u64,
+}
+
+impl Tally {
+    fn note<T, E>(&mut self, r: Result<T, E>) -> Option<T> {
+        self.attempted += 1;
+        self.failed += u64::from(r.is_err());
+        r.ok()
+    }
+
+    fn extra(&self) -> (String, String) {
+        ("failed".into(), format!("\"{}/{}\"", self.failed, self.attempted))
+    }
+}
+
+/// The host's CPU model (first `model name` of `/proc/cpuinfo`), as a
+/// JSON string.
+fn cpu_model() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!("\"{model}\"")
 }
 
 fn body(t: rapid_core::graph::TaskId, ctx: &mut TaskCtx<'_>) {
@@ -98,17 +137,18 @@ fn executor_report() -> Vec<Entry> {
         let sched = rapid_sched::mpo::mpo_order(&g, &assign, &CostModel::unit());
         let rep = min_mem(&g, &sched);
         let exec = ThreadedExecutor::new(&g, &sched, rep.min_mem);
+        let mut tally = Tally::default();
         let ns = bench_ns(&mut || {
             // Fragmentation at exactly MIN_MEM is a legal resource
             // failure for a first-fit arena; timing still covers the
-            // protocol path.
-            let _ = exec.run(body);
+            // protocol path, and the tally says how many runs failed.
+            tally.note(exec.run(body));
         });
         println!("executor/random-irregular-p4-min-mem  {}", fmt_ns(ns));
         out.push(Entry {
             name: "random-irregular-t160-p4-min-mem".into(),
             ns,
-            extra: vec![("min_mem".into(), rep.min_mem.to_string())],
+            extra: vec![("min_mem".into(), rep.min_mem.to_string()), tally.extra()],
         });
     }
 
@@ -163,15 +203,16 @@ fn recovery_report(check: bool) -> Vec<Entry> {
     // Interleaved min-of-3, as in the native section: OS scheduling noise
     // dominates on oversubscribed runners and must not read as overhead.
     let (mut plain, mut armed, mut faulted) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut tallies: [Tally; 3] = Default::default();
     for _ in 0..3 {
         plain = plain.min(bench_ns(&mut || {
-            let _ = plain_exec.run(body);
+            tallies[0].note(plain_exec.run(body));
         }));
         armed = armed.min(bench_ns(&mut || {
-            let _ = armed_exec.run(body);
+            tallies[1].note(armed_exec.run(body));
         }));
         faulted = faulted.min(bench_ns(&mut || {
-            let _ = faulted_exec.run(body);
+            tallies[2].note(faulted_exec.run(body));
         }));
     }
     let overhead = armed / plain;
@@ -184,17 +225,21 @@ fn recovery_report(check: bool) -> Vec<Entry> {
     out.push(Entry {
         name: "recovery/random-irregular-t160-p4/unarmed".into(),
         ns: plain,
-        extra: vec![("capacity".into(), cap.to_string())],
+        extra: vec![("capacity".into(), cap.to_string()), tallies[0].extra()],
     });
     out.push(Entry {
         name: "recovery/random-irregular-t160-p4/armed-clean".into(),
         ns: armed,
-        extra: vec![("overhead_vs_unarmed".into(), format!("{overhead:.3}"))],
+        extra: vec![("overhead_vs_unarmed".into(), format!("{overhead:.3}")), tallies[1].extra()],
     });
     out.push(Entry {
         name: "recovery/random-irregular-t160-p4/armed-mixed-faults".into(),
         ns: faulted,
-        extra: vec![("scenario".into(), "\"mixed\"".into()), ("fault_seed".into(), "11".into())],
+        extra: vec![
+            ("scenario".into(), "\"mixed\"".into()),
+            ("fault_seed".into(), "11".into()),
+            tallies[2].extra(),
+        ],
     });
     if check {
         let p = plain_exec.run(body).expect("unarmed fixture run");
@@ -219,9 +264,11 @@ fn total_flops(g: &rapid_core::graph::TaskGraph) -> f64 {
 
 /// The native-backend section: per-destination aggregation against the
 /// per-package direct backend on the protocol-dominated fixture (where
-/// every hand-off rides the single-slot mailbox discipline), plus
-/// end-to-end Gflop/s for the sparse factorizations against the serial
-/// reference (same body, same blocks, no protocol). In `--check` mode
+/// every hand-off rides the single-slot mailbox discipline), the
+/// hop-latency rows (a ping-pong chain across 2 processors and on 1, in
+/// ns per task, with the host's cores and CPU), plus end-to-end Gflop/s
+/// for the sparse factorizations against the serial reference (same
+/// body, same blocks, no protocol). In `--check` mode
 /// the aggregated configuration must not lose to the per-package one.
 fn native_report(check: bool) -> Vec<Entry> {
     let mut out = Vec::new();
@@ -245,15 +292,16 @@ fn native_report(check: bool) -> Vec<Entry> {
         let pinned_exec =
             ThreadedExecutor::new(&g, &sched, cap).with_aggregation(64).with_pinning(true);
         let (mut direct, mut agg, mut pinned) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let mut tallies: [Tally; 3] = Default::default();
         for _ in 0..3 {
             direct = direct.min(bench_ns(&mut || {
-                let _ = direct_exec.run(body);
+                tallies[0].note(direct_exec.run(body));
             }));
             agg = agg.min(bench_ns(&mut || {
-                let _ = agg_exec.run(body);
+                tallies[1].note(agg_exec.run(body));
             }));
             pinned = pinned.min(bench_ns(&mut || {
-                let _ = pinned_exec.run(body);
+                tallies[2].note(pinned_exec.run(body));
             }));
         }
         let speedup = direct / agg;
@@ -266,7 +314,7 @@ fn native_report(check: bool) -> Vec<Entry> {
         out.push(Entry {
             name: "random-irregular-t160-p4/direct".into(),
             ns: direct,
-            extra: vec![("capacity".into(), cap.to_string())],
+            extra: vec![("capacity".into(), cap.to_string()), tallies[0].extra()],
         });
         out.push(Entry {
             name: "random-irregular-t160-p4/aggregated".into(),
@@ -274,12 +322,16 @@ fn native_report(check: bool) -> Vec<Entry> {
             extra: vec![
                 ("threshold".into(), "64".into()),
                 ("speedup_vs_direct".into(), format!("{speedup:.3}")),
+                tallies[1].extra(),
             ],
         });
         out.push(Entry {
             name: "random-irregular-t160-p4/aggregated-pinned".into(),
             ns: pinned,
-            extra: vec![("speedup_vs_direct".into(), format!("{:.3}", direct / pinned))],
+            extra: vec![
+                ("speedup_vs_direct".into(), format!("{:.3}", direct / pinned)),
+                tallies[2].extra(),
+            ],
         });
         if check {
             // Deterministic half of the "never slower, never different"
@@ -295,6 +347,45 @@ fn native_report(check: bool) -> Vec<Entry> {
                 agg <= direct * 1.25,
                 "check: aggregated hand-offs regressed: {agg:.0} ns vs {direct:.0} ns per-package"
             );
+        }
+    }
+
+    // Hop latency: a ping-pong dependence chain with an empty-ish body.
+    // Dealt over 2 processors every task waits on one cross-processor
+    // hop (put, arrival flag, wake-up); on 1 processor the same chain
+    // prices the per-task protocol alone. Interleaved min-of-3.
+    {
+        let k = if check { 2_000 } else { 20_000 };
+        let (g2, s2) = fixtures::ping_pong_chain(k, 2);
+        let (g1, s1) = fixtures::ping_pong_chain(k, 1);
+        let cross_exec = ThreadedExecutor::new(&g2, &s2, k as u64);
+        let local_exec = ThreadedExecutor::new(&g1, &s1, k as u64);
+        let (mut cross, mut local) = (f64::INFINITY, f64::INFINITY);
+        let mut tallies: [Tally; 2] = Default::default();
+        for _ in 0..3 {
+            cross = cross.min(bench_ns(&mut || {
+                tallies[0].note(cross_exec.run(body));
+            }));
+            local = local.min(bench_ns(&mut || {
+                tallies[1].note(local_exec.run(body));
+            }));
+        }
+        let (cores, cpu) = (rapid_machine::affinity::online_cpus(), cpu_model());
+        for (name, ns, tally) in
+            [("cross-hop-p2", cross, &tallies[0]), ("same-proc-p1", local, &tallies[1])]
+        {
+            let per_task = ns / k as f64;
+            println!("executor-native/ping-pong-k{k}/{name}: {per_task:.0} ns/task");
+            out.push(Entry {
+                name: format!("ping-pong-k{k}/{name}"),
+                ns,
+                extra: vec![
+                    ("ns_per_task".into(), format!("{per_task:.1}")),
+                    ("cores".into(), cores.to_string()),
+                    ("cpu".into(), cpu.clone()),
+                    tally.extra(),
+                ],
+            });
         }
     }
 
@@ -413,14 +504,15 @@ fn trace_report(check: bool) -> Vec<Entry> {
     let cap = min_mem(&g, &sched).min_mem + 8;
 
     let plain = ThreadedExecutor::new(&g, &sched, cap);
+    let mut tally = Tally::default();
     let disabled = bench_ns(&mut || {
-        let _ = plain.run(trace_body);
+        tally.note(plain.run(trace_body));
     });
     println!("trace/random-irregular-t160-p4: disabled {}", fmt_ns(disabled));
     out.push(Entry {
         name: "random-irregular-t160-p4/disabled".into(),
         ns: disabled,
-        extra: vec![],
+        extra: vec![tally.extra()],
     });
     let mut gate_failures = Vec::new();
     for (tier_name, tier, gate) in
@@ -429,8 +521,9 @@ fn trace_report(check: bool) -> Vec<Entry> {
         let traced = ThreadedExecutor::new(&g, &sched, cap)
             .with_tracing(TraceConfig::default().with_tier(tier));
         let mut events = 0u64;
+        let mut tally = Tally::default();
         let enabled = bench_ns(&mut || {
-            if let Ok(r) = traced.run(trace_body) {
+            if let Some(r) = tally.note(traced.run(trace_body)) {
                 events = r.trace.as_ref().map_or(0, |t| t.total());
             }
         });
@@ -449,6 +542,7 @@ fn trace_report(check: bool) -> Vec<Entry> {
                 ("overhead".into(), format!("{overhead:.3}")),
                 ("gate".into(), format!("{gate:.2}")),
                 ("events".into(), events.to_string()),
+                tally.extra(),
             ],
         });
     }

@@ -165,6 +165,37 @@ pub fn figure2_schedule_c() -> Schedule {
     )
 }
 
+/// A dependence chain of `k` unit-size tasks dealt round-robin over
+/// `nprocs` processors: task `i` writes object `i` (owned by its own
+/// processor) and reads object `i - 1`. With two or more processors every
+/// task waits on a cross-processor hop, so the chain measures one hop's
+/// latency; on one processor it measures the per-task protocol cost.
+pub fn ping_pong_chain(k: usize, nprocs: u32) -> (TaskGraph, Schedule) {
+    let mut b = TaskGraphBuilder::new();
+    let objs: Vec<ObjId> = (0..k).map(|_| b.add_object(1)).collect();
+    let mut tasks: Vec<TaskId> = Vec::with_capacity(k);
+    for i in 0..k {
+        let reads: &[ObjId] = if i == 0 { &[] } else { &objs[i - 1..i] };
+        let t = b.add_task(1.0, reads, &[objs[i]]);
+        if let Some(&prev) = tasks.last() {
+            b.add_edge(prev, t);
+        }
+        tasks.push(t);
+    }
+    let g = b.build().expect("a chain is acyclic");
+    let proc_of = |i: usize| (i % nprocs as usize) as u32;
+    let assign = Assignment {
+        task_proc: (0..k).map(proc_of).collect(),
+        owner: (0..k).map(proc_of).collect(),
+        nprocs: nprocs as usize,
+    };
+    let mut order = vec![Vec::new(); nprocs as usize];
+    for (i, &t) in tasks.iter().enumerate() {
+        order[proc_of(i) as usize].push(t);
+    }
+    (g, Schedule { assign, order })
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic random DAG generation (no external RNG dependency).
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-//! Tiered spin backoff for the executor's blocking waits.
+//! Tiered spin backoff for bounded retry loops.
 //!
-//! The five-state protocol spends its blocking time polling: arrival
-//! flags in REC, mailbox slots in MAP, the suspended queue in END. An
-//! unconditional `yield_now` per poll iteration costs a syscall each
-//! round-trip and floods the scheduler when many workers block at once;
-//! pure spinning burns a core while a peer needs it to make progress.
-//! [`Backoff`] escalates through three tiers instead:
+//! The executor's MAP fragmentation ladder retries a volatile placement
+//! a bounded number of times ([`Retry`], budgeted by [`RetryPolicy`]),
+//! servicing RA/CQ between attempts. An unconditional `yield_now` per
+//! attempt costs a syscall each round and floods the scheduler when many
+//! workers retry at once; pure spinning burns a core while a peer needs
+//! it to make progress. [`Backoff`] escalates through three tiers
+//! instead:
 //!
 //! 1. a bounded run of [`core::hint::spin_loop`] hints (cheap, keeps the
 //!    wait on-core while the expected latency is a few cache misses),
@@ -16,8 +17,11 @@
 //!    so no explicit unpark is required).
 //!
 //! Callers reset the backoff whenever they observe progress, which keeps
-//! the common fast path (flag already raised, address already known) in
-//! the spin tier.
+//! the common fast path in the spin tier.
+//!
+//! The executor's blocking protocol waits (REC, a full mailbox slot, END)
+//! do not use this: they poll flat and then sleep on a
+//! [`crate::rma::Doorbell`] that the peers ring.
 
 use std::time::Duration;
 
@@ -57,32 +61,14 @@ impl Backoff {
     /// park in the third.
     #[inline]
     pub fn wait(&mut self) {
-        self.wait_flushing(|| {});
-    }
-
-    /// Aggregation-aware wait: identical tier escalation, but `flush` is
-    /// invoked once at the spin→yield boundary — the moment this worker
-    /// is about to surrender the core, any address packages parked in
-    /// its sender-side aggregation buffers must be pushed toward their
-    /// destinations first, or a peer could wait a full park cycle (or
-    /// forever, if this worker blocks for good) on an address that is
-    /// sitting ready in a buffer. Callers still observing progress
-    /// through their service loop should `reset` as usual.
-    #[inline]
-    pub fn wait_flushing<F: FnOnce()>(&mut self, flush: F) {
         if self.step < SPIN_LIMIT {
             for _ in 0..(1u32 << self.step) {
                 core::hint::spin_loop();
             }
+        } else if self.step < SPIN_LIMIT + YIELD_LIMIT {
+            std::thread::yield_now();
         } else {
-            if self.step == SPIN_LIMIT {
-                flush();
-            }
-            if self.step < SPIN_LIMIT + YIELD_LIMIT {
-                std::thread::yield_now();
-            } else {
-                std::thread::park_timeout(PARK);
-            }
+            std::thread::park_timeout(PARK);
         }
         if !self.is_parking() {
             self.step += 1;
@@ -201,19 +187,6 @@ mod tests {
         assert!(b.is_parking());
         b.reset();
         assert!(!b.is_parking());
-    }
-
-    #[test]
-    fn flush_hook_fires_exactly_once_at_first_yield() {
-        let mut b = Backoff::new();
-        let mut fired = 0;
-        for _ in 0..(SPIN_LIMIT + YIELD_LIMIT + 3) {
-            b.wait_flushing(|| fired += 1);
-        }
-        assert_eq!(fired, 1, "flush fires at the spin→yield boundary only");
-        b.reset();
-        b.wait_flushing(|| fired += 1);
-        assert_eq!(fired, 1, "spin-tier waits do not flush");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   package until the destination has consumed the previous one),
 //! - [`rma`] — the shared-memory RMA window used by the threaded executor:
 //!   one-sided stores into a remote arena at an offset learned from an
-//!   address package, with release/acquire arrival flags,
-//! - [`backoff`] — the tiered spin/yield/park strategy the executor's
-//!   blocking waits use instead of unconditional `yield_now` polling,
-//!   aggregation-aware (buffered packages flush before the first yield),
+//!   address package, with release/acquire arrival flags, and the
+//!   per-processor [`Doorbell`] a blocked worker sleeps on until a peer's
+//!   publication rings it,
+//! - [`backoff`] — the tiered spin/yield/park strategy and bounded
+//!   [`Retry`] loops of the MAP fragmentation ladder,
 //! - [`machine`] — the pluggable comm-backend surface: the [`Machine`]
 //!   trait with the paper-faithful single-slot backend, the native
 //!   per-destination aggregating backend, and the discrete-event
@@ -43,3 +44,4 @@ pub use backoff::{Backoff, Retry, RetryPolicy};
 pub use config::MachineConfig;
 pub use fault::{FaultPlan, FaultSpec, ProcFaults};
 pub use machine::{AggregatingMachine, DirectMachine, Machine, Port, SendOutcome, VirtualMachine};
+pub use rma::{Doorbell, FlagBoard};

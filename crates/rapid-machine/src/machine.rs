@@ -26,9 +26,10 @@
 //! full slot keeps going), which strictly removes wait-for edges from
 //! the Theorem-1 circular-wait analysis; eventual delivery is
 //! guaranteed by the flush policy: size-threshold flush on send, a
-//! flush attempt in every blocking-wait service round (before the
-//! backoff's first yield), and a pending-drained barrier before END
-//! retires. Fact I is untouched because a writer cannot learn a remote
+//! flush attempt in every blocking-wait service round (so also in the
+//! last one before a worker sleeps), and a pending-drained barrier
+//! before END retires. A flush reports each destination it delivered
+//! to, so the executor can wake that destination. Fact I is untouched because a writer cannot learn a remote
 //! address before the physical batch carrying it is drained.
 
 // sync-audit: the per-worker `pending` counters are Relaxed by design — they
@@ -95,10 +96,11 @@ pub trait Port {
     /// [`SendOutcome::Busy`] it is left untouched for the retry.
     fn send_package(&mut self, dst: usize, pkg: &mut AddrPackage) -> SendOutcome;
 
-    /// Attempt to deliver buffered packages. Returns `true` when at
-    /// least one physical hand-off happened (progress for the
-    /// watchdog).
-    fn flush(&mut self) -> bool;
+    /// Attempt to deliver buffered packages, calling `delivered(dst)`
+    /// after each physical hand-off (so the caller can wake `dst`).
+    /// Returns `true` when at least one hand-off happened (progress for
+    /// the watchdog).
+    fn flush<F: FnMut(usize)>(&mut self, delivered: F) -> bool;
 
     /// Logical packages buffered in this port and not yet physically
     /// delivered. The protocol must not retire END while this is
@@ -164,7 +166,7 @@ impl Port for DirectPort<'_> {
         }
     }
 
-    fn flush(&mut self) -> bool {
+    fn flush<F: FnMut(usize)>(&mut self, _delivered: F) -> bool {
         false
     }
 
@@ -295,16 +297,21 @@ impl Port for AggPort<'_> {
         pkg.clear();
         self.pending += 1;
         self.m.pending[self.p].store(self.pending, Ordering::Relaxed);
-        if self.bufs[dst].entries.len() >= self.m.threshold {
-            self.flush_dst(dst);
+        // A threshold flush hands the whole batch, this package included,
+        // into the slot.
+        if self.bufs[dst].entries.len() >= self.m.threshold && self.flush_dst(dst) {
+            return SendOutcome::Delivered;
         }
         SendOutcome::Buffered
     }
 
-    fn flush(&mut self) -> bool {
+    fn flush<F: FnMut(usize)>(&mut self, mut delivered: F) -> bool {
         let mut progress = false;
         for dst in 0..self.bufs.len() {
-            progress |= self.flush_dst(dst);
+            if self.flush_dst(dst) {
+                delivered(dst);
+                progress = true;
+            }
         }
         progress
     }
@@ -440,7 +447,7 @@ impl Port for VirtualPort<'_> {
         }
     }
 
-    fn flush(&mut self) -> bool {
+    fn flush<F: FnMut(usize)>(&mut self, _delivered: F) -> bool {
         false // delivery is a function of virtual time, not of flushing
     }
 
@@ -531,7 +538,7 @@ mod tests {
         assert_eq!(tx.pending(), 4);
         assert_eq!(m.pending_hint(0), 4);
         // Flush fails while the slot is still occupied.
-        assert!(!tx.flush());
+        assert!(!tx.flush(|_| panic!("nothing was handed off")));
         // Receiver drains the first package, then the flushed batch.
         let mut seen: Vec<Vec<u32>> = Vec::new();
         let drain = |rx: &mut AggPort<'_>, seen: &mut Vec<Vec<u32>>| {
@@ -544,10 +551,12 @@ mod tests {
             })
         };
         assert_eq!(drain(&mut rx, &mut seen), 1);
-        assert!(tx.flush(), "slot freed: the batch goes out");
+        let mut to = Vec::new();
+        assert!(tx.flush(|dst| to.push(dst)), "slot freed: the batch goes out");
+        assert_eq!(to, vec![1], "the flush reports where it delivered");
         assert_eq!(tx.pending(), 0);
         assert_eq!(m.pending_hint(0), 0);
-        assert!(!tx.flush(), "nothing left to flush");
+        assert!(!tx.flush(|_| {}), "nothing left to flush");
         assert_eq!(drain(&mut rx, &mut seen), 4);
         assert_eq!(
             seen,
@@ -574,7 +583,11 @@ mod tests {
         assert_eq!(tx.send_package(1, &mut p), SendOutcome::Buffered);
         consumed += rx.drain_batched(|_, _, _| {});
         let mut p = pkg(&[3]);
-        assert_eq!(tx.send_package(1, &mut p), SendOutcome::Buffered);
+        assert_eq!(
+            tx.send_package(1, &mut p),
+            SendOutcome::Delivered,
+            "the threshold flush handed this package off with the batch"
+        );
         assert_eq!(tx.pending(), 0, "threshold reached and slot free: auto-flushed");
         consumed += rx.drain_batched(|_, _, _| {});
         assert_eq!(consumed, 4);

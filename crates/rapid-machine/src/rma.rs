@@ -31,9 +31,17 @@
 // before it), `is_raised` an Acquire load. The payload-publication protocol
 // (including guarded re-execution after recovery) is model-checked
 // exhaustively by `rapid_sync::models::sentguard` (see DESIGN.md §16).
+// `Doorbell` is a Dekker handshake: the sleeper's announce store and the
+// ringer's `sleeping` load are each followed/preceded by a SeqCst fence, and
+// the retract store is Relaxed by design (a stale 1 costs one spurious
+// unpark, never a lost wake-up). The real type is driven through the shim by
+// the doorbell model in `rapid-sync/tests/model_check.rs` (DESIGN.md §16).
 
-use rapid_sync::{Ordering, SyncAtomicU32};
+use rapid_sync::{sync_fence, Ordering, SyncAtomicU32};
 use std::cell::UnsafeCell;
+use std::sync::OnceLock;
+use std::thread::Thread;
+use std::time::Duration;
 
 /// A fixed slab of `f64` cells writable from remote threads.
 pub struct RmaHeap {
@@ -152,6 +160,12 @@ impl FlagBoard {
         self.flags[i].load(Ordering::Acquire) > 0
     }
 
+    /// Name flag `i` in model-check counterexample traces.
+    #[cfg(any(debug_assertions, rapid_model_check))]
+    pub fn label(&self, i: usize, name: &str) {
+        self.flags[i].label(name);
+    }
+
     /// Raw counter value (tests).
     pub fn count(&self, i: usize) -> u32 {
         self.flags[i].load(Ordering::Acquire)
@@ -174,10 +188,150 @@ impl FlagBoard {
     }
 }
 
+/// A processor's wake-up bell: lets a worker that has run out of local
+/// work sleep instead of polling, and lets the peers whose publications
+/// could unblock it (a raised arrival flag, a handed-off or drained
+/// address package) wake it.
+///
+/// The handshake is Dekker's, so a ring that lands while the sleeper is
+/// deciding is never lost:
+///
+/// - **Sleeper** (the one thread bound with [`Doorbell::bind`]):
+///   [`Doorbell::announce`] (store `sleeping`, SeqCst fence), re-check the
+///   wake condition once, then [`Doorbell::sleep`] if it still holds or
+///   [`Doorbell::retract`] if it does not. A ring that lands between the
+///   re-check and the park leaves `std`'s park token set, so the park
+///   returns at once.
+/// - **Ringer**: publish first (for example [`FlagBoard::raise`], a Release
+///   RMW), then [`Doorbell::ring`] (SeqCst fence, load `sleeping`, unpark
+///   only when it is set). A ring to a bell nobody sleeps on is one fence
+///   and one plain load.
+///
+/// The sleep is bounded by a timeout, so a ring that never comes costs
+/// latency, not liveness. Each bell sits on its own cache line: the
+/// sleeper writes its word while every peer reads it.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub struct Doorbell {
+    sleeping: SyncAtomicU32,
+    sleeper: OnceLock<Thread>,
+    #[cfg(any(debug_assertions, rapid_model_check))]
+    mutant: DoorbellMutant,
+}
+
+/// A fence the doorbell model's mutants delete (model checking only: the
+/// shipped handshake is [`DoorbellMutant::None`]).
+#[cfg(any(debug_assertions, rapid_model_check))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum DoorbellMutant {
+    /// The shipped handshake, both fences in place.
+    #[default]
+    None,
+    /// [`Doorbell::ring`] loads `sleeping` without its SeqCst fence.
+    RingerNoFence,
+    /// [`Doorbell::announce`] stores `sleeping` without its SeqCst fence.
+    SleeperNoFence,
+}
+
+/// The doorbell's seeded mutation corpus: every entry must be refuted by
+/// the model checker with a lost wake-up.
+#[cfg(any(debug_assertions, rapid_model_check))]
+pub const DOORBELL_MUTANTS: [(&str, DoorbellMutant); 2] = [
+    ("doorbell-ringer-no-fence", DoorbellMutant::RingerNoFence),
+    ("doorbell-sleeper-no-fence", DoorbellMutant::SleeperNoFence),
+];
+
+impl Doorbell {
+    /// A bell nobody sleeps on yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A bell running `mutant`'s handshake, for the model checker's
+    /// mutation corpus.
+    #[cfg(any(debug_assertions, rapid_model_check))]
+    pub fn with_mutant(mutant: DoorbellMutant) -> Self {
+        Doorbell { mutant, ..Self::default() }
+    }
+
+    /// Name the bell's word in model-check counterexample traces (call
+    /// once the bell is at its final address).
+    #[cfg(any(debug_assertions, rapid_model_check))]
+    pub fn label(&self, name: &str) {
+        self.sleeping.label(name);
+    }
+
+    /// Is the fence on this side of the handshake in place?
+    #[inline(always)]
+    fn fenced(&self, ringer: bool) -> bool {
+        #[cfg(any(debug_assertions, rapid_model_check))]
+        {
+            let cut =
+                if ringer { DoorbellMutant::RingerNoFence } else { DoorbellMutant::SleeperNoFence };
+            self.mutant != cut
+        }
+        #[cfg(not(any(debug_assertions, rapid_model_check)))]
+        {
+            let _ = ringer;
+            true
+        }
+    }
+
+    /// Make the calling thread the bell's sleeper. Must precede its first
+    /// [`Doorbell::announce`]; later calls are ignored.
+    pub fn bind(&self) {
+        let _ = self.sleeper.set(std::thread::current());
+    }
+
+    /// Sleeper, step 1: announce the intent to sleep. The caller must
+    /// re-check its wake condition after this returns, then call
+    /// [`Doorbell::sleep`] or [`Doorbell::retract`].
+    #[inline]
+    pub fn announce(&self) {
+        // Release: a ringer that sees the announcement also sees the
+        // binding that preceded it.
+        self.sleeping.store(1, Ordering::Release);
+        if self.fenced(false) {
+            sync_fence(Ordering::SeqCst);
+        }
+    }
+
+    /// Sleeper, step 2: park until rung or until `timeout` passes, then
+    /// retract. Must be called on the bound thread.
+    pub fn sleep(&self, timeout: Duration) {
+        std::thread::park_timeout(timeout);
+        self.retract();
+    }
+
+    /// Sleeper: withdraw the announcement (the re-check found work).
+    #[inline]
+    pub fn retract(&self) {
+        self.sleeping.store(0, Ordering::Relaxed);
+    }
+
+    /// Ringer: wake the sleeper if it has announced. Call after the
+    /// publication the sleeper waits on. Returns whether it found the
+    /// sleeper announced (and so unparked it).
+    #[inline]
+    pub fn ring(&self) -> bool {
+        if self.fenced(true) {
+            sync_fence(Ordering::SeqCst);
+        }
+        if self.sleeping.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        if let Some(t) = self.sleeper.get() {
+            t.unpark();
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn put_then_read_roundtrip() {
@@ -229,5 +383,39 @@ mod tests {
             assert_eq!(v, i as f64 * 0.5);
         }
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn ring_before_sleep_returns_at_once() {
+        let bell = Doorbell::new();
+        bell.bind();
+        bell.announce();
+        assert!(bell.ring(), "an announced sleeper is rung");
+        let t0 = Instant::now();
+        bell.sleep(Duration::from_secs(10));
+        assert!(t0.elapsed() < Duration::from_secs(5), "the park token must end the sleep");
+        assert!(!bell.ring(), "sleep retracts the announcement");
+    }
+
+    #[test]
+    fn unrung_sleep_returns_within_its_timeout() {
+        let bell = Doorbell::new();
+        bell.bind();
+        bell.announce();
+        let t0 = Instant::now();
+        bell.sleep(Duration::from_millis(20));
+        // Generous upper bound: timer slack and a loaded host.
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn ring_to_a_bell_nobody_sleeps_on_costs_no_unpark() {
+        let bell = Doorbell::new();
+        assert!(!bell.ring(), "unbound, unannounced: nothing to unpark");
+        bell.bind();
+        assert!(!bell.ring(), "bound but not announced: nothing to unpark");
+        bell.announce();
+        bell.retract();
+        assert!(!bell.ring(), "a retracted announcement is not rung");
     }
 }

@@ -148,25 +148,32 @@ use std::sync::atomic::{AtomicU64, Ordering as AtOrd};
 #[derive(Debug)]
 pub struct StateBoard {
     /// Packed `state << 60 | pos << 32 | suspended` per processor.
-    words: Vec<AtomicU64>,
+    words: Vec<BoardWord>,
 }
+
+/// One processor's board word on a cache line (and its prefetch pair) of
+/// its own: every worker rewrites its word several times per task, and
+/// adjacent words would bounce one line between the workers' cores.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct BoardWord(AtomicU64);
 
 impl StateBoard {
     /// Board for `nprocs` workers, all in [`ProtoState::Setup`].
     pub fn new(nprocs: usize) -> Self {
-        StateBoard { words: (0..nprocs).map(|_| AtomicU64::new(0)).collect() }
+        StateBoard { words: (0..nprocs).map(|_| BoardWord::default()).collect() }
     }
 
     /// Publish worker `p`'s current state (relaxed: diagnostics only).
     #[inline]
     pub fn publish(&self, p: usize, st: ProtoState, pos: u32, suspended: u32) {
         let w = ((st.idx() as u64) << 60) | (((pos as u64) & 0x0FFF_FFFF) << 32) | suspended as u64;
-        self.words[p].store(w, AtOrd::Relaxed);
+        self.words[p].0.store(w, AtOrd::Relaxed);
     }
 
     /// Read worker `p`'s last published `(state, position, suspended)`.
     pub fn read(&self, p: usize) -> (ProtoState, u32, u32) {
-        let w = self.words[p].load(AtOrd::Relaxed);
+        let w = self.words[p].0.load(AtOrd::Relaxed);
         let st = ProtoState::ALL[((w >> 60) as usize).min(ProtoState::ALL.len() - 1)];
         (st, ((w >> 32) & 0x0FFF_FFFF) as u32, w as u32)
     }

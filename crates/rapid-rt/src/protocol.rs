@@ -21,8 +21,10 @@
 //! - **buffer placement** — counting-only versus a real first-fit arena;
 //! - **task execution** — a simulated duration versus the task body over
 //!   real buffers;
-//! - **waiting** — the drivers' own loops: the DES event heap (wake-ups
-//!   on arrivals and drained mailboxes) versus backoff with a watchdog.
+//! - **waiting** — the drivers' own loops: the DES event heap versus
+//!   flat polling, then a doorbell sleep, with a watchdog. Both wake a
+//!   processor at the same points (a message put, an address-package
+//!   hand-off, a drained mailbox slot), from the same hooks.
 //!
 //! Service (RA, then CQ) runs at the top of every step: after each task
 //! boundary, after each MAP, and on every retry of a blocking state.
@@ -89,9 +91,18 @@ pub(crate) trait Driver<P: Port> {
 
     /// RA is about to drain `port` (the DES gates it on its clock).
     fn before_drain(&mut self, _port: &mut P) {}
-    /// One logical address package from `src` was consumed (DES: charge
-    /// `ra_cost` and wake `src`, which may be blocked sending to us).
+    /// One logical address package from `src` was consumed and its slot
+    /// freed (DES: charge `ra_cost`; both drivers wake `src`, which may
+    /// be blocked sending to us).
     fn pkg_drained(&mut self, _src: usize) {}
+    /// A physical address-package hand-off toward `dst` happened, direct
+    /// or by a flush (threaded: wake `dst`; the DES woke it at the
+    /// arrival it dated in [`Driver::pkg_ready`]).
+    fn handed_off(&mut self, _dst: usize) {}
+    /// An injected rejection made the head package look blocked on a
+    /// slot no peer holds, so no peer will wake this processor for it
+    /// (threaded: wake itself so it retries instead of sleeping).
+    fn rejected(&mut self) {}
     /// A MAP planned `actions` frees plus allocations (DES: charge
     /// `map_fixed_cost` and `alloc_cost`).
     fn map_planned(&mut self, _actions: usize) {}
@@ -338,11 +349,6 @@ impl<'a, P: Port> ProcCore<'a, P> {
         &self.port
     }
 
-    /// This processor's comm endpoint, mutably (backoff flushes).
-    pub(crate) fn port_mut(&mut self) -> &mut P {
-        &mut self.port
-    }
-
     /// Publish a state transition to the state board and the trace.
     fn publish<D: Driver<P>>(&mut self, drv: &mut D, s: ProtoState) {
         self.env.board.publish(self.p, s, self.pos, self.suspended as u32);
@@ -463,7 +469,7 @@ impl<'a, P: Port> ProcCore<'a, P> {
             }
         });
         let mut progress = drained > 0;
-        progress |= self.port.pending() > 0 && self.port.flush();
+        progress |= self.port.pending() > 0 && self.port.flush(|dst| drv.handed_off(dst));
         self.woken.sort_unstable();
         for i in 0..self.woken.len() {
             let (stamp, mid) = self.woken[i];
@@ -722,6 +728,7 @@ impl<'a, P: Port> ProcCore<'a, P> {
                 if let Some(w) = self.w.as_mut() {
                     w.fault(drv.stamp(false), FaultSite::MailboxReject);
                 }
+                drv.rejected();
             }
             let ready = !rejected && drv.pkg_ready(&mut self.port, dst as usize, end - self.pkg_at);
             let outcome = if ready {
@@ -740,6 +747,9 @@ impl<'a, P: Port> ProcCore<'a, P> {
                 return false;
             }
             // Delivered or Buffered: the port owns the entries now.
+            if outcome == SendOutcome::Delivered {
+                drv.handed_off(dst as usize);
+            }
             let seq = self.pkg_send_seq[dst as usize];
             self.pkg_send_seq[dst as usize] = seq + 1;
             if let Some(w) = self.w.as_mut() {
@@ -755,7 +765,7 @@ impl<'a, P: Port> ProcCore<'a, P> {
         // end bounds notification latency under aggregation (a busy
         // slot leaves the batch for the service-round flushes).
         if self.port.pending() > 0 {
-            self.port.flush();
+            self.port.flush(|dst| drv.handed_off(dst));
         }
         let pos = self.pos;
         if let Some(w) = self.w.as_mut() {

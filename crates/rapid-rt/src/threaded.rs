@@ -37,13 +37,20 @@
 //!   sorted by destination, so one package per collaborating processor
 //!   is assembled in a reusable buffer and handed off with one
 //!   [`Port::send_package`] each.
-//! - **Blocking waits use tiered backoff** ([`Backoff`]: bounded spin
-//!   hints → `yield_now` → short bounded parks), reset on every step that
-//!   made progress, and a stall watchdog that photographs every
-//!   processor when a wait sees no progress for too long. With the
-//!   aggregating backend the backoff is flush-aware: buffered address
-//!   packages are pushed toward their destinations before the first
-//!   yield surrenders the core.
+//! - **Blocking waits poll flat, then sleep on a doorbell.** A blocked
+//!   worker re-steps its core with one spin hint between polls (a yield
+//!   every [`YIELD_EVERY`]) for a bounded budget ([`SPIN_POLLS`]), then
+//!   sleeps on its [`Doorbell`].
+//!   Peers ring it exactly where the DES wakes a processor: a message
+//!   put, an address-package hand-off (direct or flushed), a drained
+//!   mailbox slot (its source may be blocked in MAP), and a poisoned
+//!   run (every bell). The sleep is bounded ([`SLEEP`]), so the stall
+//!   watchdog — which photographs every processor when a wait sees no
+//!   progress for too long — and any missed ring cost latency, never
+//!   liveness. When workers outnumber the online cores the spin budget
+//!   is skipped: a spinning worker would steal the core its producer
+//!   needs, so the worker yields [`YIELD_POLLS`] times and sleeps. Every step's service round flushes the aggregating port, so
+//!   nothing deliverable sits in a sleeper's buffers.
 //! - **The comm backend is pluggable.** The core is written once against
 //!   the [`Machine`]/[`Port`] surface and monomorphized per backend;
 //!   [`Backend::Direct`] is the paper-faithful single-slot scheme
@@ -64,22 +71,45 @@ use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::affinity;
 use rapid_machine::arena::Arena;
-use rapid_machine::backoff::Backoff;
 use rapid_machine::fault::{FaultPlan, FaultSite};
 use rapid_machine::machine::{AggregatingMachine, DirectMachine, Machine, Port};
-use rapid_machine::rma::{FlagBoard, RmaHeap};
+use rapid_machine::rma::{Doorbell, FlagBoard, RmaHeap};
 use rapid_trace::{
     decode_ring, FlatRing, LiveDrain, ProcMetrics, ProcTrace, StreamChecker, TraceConfig,
     TraceReport, TraceSet, TraceTier, Violation,
 };
 use std::sync::atomic::{AtomicBool, Ordering as AtOrd};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Sentinel for "object not in this task's access set".
 const NO_SLOT: u32 = u32::MAX;
 /// Default stall watchdog when `RAPID_WATCHDOG_MS` is unset or invalid.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
+/// Polls (re-steps, one spin hint apart) a blocked worker makes before it
+/// sleeps on its doorbell, when every worker has a core of its own.
+const SPIN_POLLS: u32 = 16384;
+/// Every this many polls a spinning worker yields instead of spinning
+/// (a power of two). The scheduler tends to queue a thread it wakes on
+/// the waker's core; without the yield a worker that rings a peer and
+/// then spins would keep that peer off the core for a whole timeslice.
+const YIELD_EVERY: u32 = 256;
+const _: () = assert!(YIELD_EVERY.is_power_of_two(), "the poll loop masks with YIELD_EVERY - 1");
+/// Polls before the sleep when workers outnumber the online cores, each
+/// one a yield: a spin would steal the core a producer needs, while a
+/// yield hands it to a producer queued there, more cheaply than a sleep
+/// and a ring.
+const YIELD_POLLS: u32 = 4;
+/// Longest doorbell sleep: bounds the cost of a missed ring and the
+/// watchdog's reaction time.
+const SLEEP: Duration = Duration::from_millis(1);
+
+/// Online cores, read once per process (`available_parallelism` reads
+/// cgroup files, which would cost more than a short run's protocol).
+fn online_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(affinity::online_cpus)
+}
 
 /// Parse the `RAPID_WATCHDOG_MS` override: a positive integer number of
 /// milliseconds; anything else falls back to [`DEFAULT_WATCHDOG`]. Pure so
@@ -443,6 +473,7 @@ impl<'a> ThreadedExecutor<'a> {
 
         let heaps: Vec<RmaHeap> = (0..nprocs).map(|_| RmaHeap::new(self.capacity)).collect();
         let flags = FlagBoard::new(self.plan.msgs.len());
+        let bells: Vec<Doorbell> = (0..nprocs).map(|_| Doorbell::new()).collect();
         let env = CoreEnv {
             g,
             sched,
@@ -496,6 +527,8 @@ impl<'a> ThreadedExecutor<'a> {
             env: &env,
             heaps: &heaps,
             flags: &flags,
+            bells: &bells,
+            oversubscribed: nprocs > online_cores(),
             machine,
             pin_plan: &pin_plan,
             poison: &poison,
@@ -517,6 +550,9 @@ impl<'a> ThreadedExecutor<'a> {
                 *slot = Some(e);
             }
             shared.poison.store(true, AtOrd::Release);
+            for bell in shared.bells {
+                bell.ring();
+            }
         };
         let fail = &fail;
 
@@ -698,6 +734,10 @@ struct Shared<'e, F, I, M> {
     env: &'e CoreEnv<'e>,
     heaps: &'e [RmaHeap],
     flags: &'e FlagBoard,
+    /// One doorbell per worker, rung where the DES would wake it.
+    bells: &'e [Doorbell],
+    /// Workers outnumber the online cores: poll by yielding only.
+    oversubscribed: bool,
     machine: &'e M,
     /// Worker → core plan (`None` = float); all-`None` unless
     /// [`ThreadedExecutor::with_pinning`] was requested.
@@ -716,46 +756,66 @@ struct Shared<'e, F, I, M> {
     init: &'e I,
 }
 
-/// Progress pacing for a worker's blocking waits: tiered backoff plus the
-/// stall watchdog's progress timestamp. The watchdog measures time since
-/// the last *local progress* (task completion, address arrival, suspended
-/// send completing, or a mailbox hand-off) — not total wall time, so long
-/// runs that keep making progress are never falsely poisoned.
+/// Progress pacing for a worker's blocking waits: the poll budget plus
+/// the stall watchdog's progress clock. The watchdog measures time
+/// since the last *local progress* (task completion, address arrival,
+/// suspended send completing, or a mailbox hand-off) — not total wall
+/// time, so long runs that keep making progress are never falsely
+/// poisoned. Progress only raises a flag; the clock is read when the
+/// worker runs out of polls, so the per-task path reads no clock.
 struct Pacer {
-    backoff: Backoff,
+    budget: u32,
+    polls_left: u32,
+    /// A poll yields when `polls_left & yield_mask == 0`.
+    yield_mask: u32,
+    progressed: bool,
     last_progress: Instant,
 }
 
 impl Pacer {
-    fn new() -> Self {
-        Pacer { backoff: Backoff::new(), last_progress: Instant::now() }
+    fn new(oversubscribed: bool) -> Self {
+        let (budget, yield_mask) =
+            if oversubscribed { (YIELD_POLLS, 0) } else { (SPIN_POLLS, YIELD_EVERY - 1) };
+        Pacer {
+            budget,
+            polls_left: budget,
+            yield_mask,
+            progressed: false,
+            last_progress: Instant::now(),
+        }
     }
 
-    /// Record progress: reset the backoff tier and the watchdog clock.
+    /// Record progress: refill the poll budget and restart the watchdog.
     #[inline]
     fn mark(&mut self) {
-        self.backoff.reset();
-        self.last_progress = Instant::now();
+        self.polls_left = self.budget;
+        self.progressed = true;
     }
 
-    /// Has the watchdog period elapsed with no progress?
+    /// Spend one poll of the budget (a spin hint or a yield); `false`
+    /// once it is spent and the worker should sleep.
     #[inline]
-    fn stalled(&self, watchdog: Duration) -> bool {
-        self.last_progress.elapsed() > watchdog
-    }
-
-    /// Wait once, escalating the backoff tier. Aggregation-aware: at the
-    /// spin→yield boundary the port's buffered packages are flushed —
-    /// this worker is about to surrender the core, so anything parked in
-    /// its sender-side buffers must move toward its destination first. A
-    /// successful flush is watchdog progress.
-    #[inline]
-    fn wait<P: Port>(&mut self, port: &mut P) {
-        let mut flushed = false;
-        self.backoff.wait_flushing(|| flushed = port.flush());
-        if flushed {
-            self.mark();
+    fn poll(&mut self) -> bool {
+        if self.polls_left == 0 {
+            return false;
         }
+        self.polls_left -= 1;
+        if self.polls_left & self.yield_mask == 0 {
+            std::thread::yield_now();
+        } else {
+            core::hint::spin_loop();
+        }
+        true
+    }
+
+    /// Has the watchdog period elapsed with no progress? Progress marked
+    /// since the last call restarts the period now.
+    fn stalled(&mut self, watchdog: Duration) -> bool {
+        if std::mem::take(&mut self.progressed) {
+            self.last_progress = Instant::now();
+            return false;
+        }
+        self.last_progress.elapsed() > watchdog
     }
 }
 
@@ -831,6 +891,20 @@ where
             }
         }
         sh.flags.raise(mid as usize);
+        sh.bells[msg.dst_proc as usize].ring();
+    }
+
+    fn pkg_drained(&mut self, src: usize) {
+        self.sh.bells[src].ring();
+    }
+
+    fn handed_off(&mut self, dst: usize) {
+        self.sh.bells[dst].ring();
+    }
+
+    fn rejected(&mut self) {
+        // Rung only if announced: then the coming sleep returns at once.
+        self.sh.bells[self.p].ring();
     }
 
     fn execute(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError> {
@@ -923,11 +997,11 @@ where
     }
 }
 
-/// Per-thread worker: steps this processor's [`ProcCore`] with backoff
-/// and the stall watchdog. Returns `(maps, peak_units, arena_peak,
-/// trace)`, the trace already decoded from this worker's flat ring (with
-/// its aggregate metrics) so the decode work runs in parallel across
-/// workers.
+/// Per-thread worker: steps this processor's [`ProcCore`], polling flat
+/// and then sleeping on its doorbell while blocked, under the stall
+/// watchdog. Returns `(maps, peak_units, arena_peak, trace)`, the trace
+/// already decoded from this worker's flat ring (with its aggregate
+/// metrics) so the decode work runs in parallel across workers.
 fn worker<F, I, M>(
     p: usize,
     sh: &Shared<'_, F, I, M>,
@@ -945,6 +1019,8 @@ where
     if let Some(cpu) = sh.pin_plan[p] {
         let _ = affinity::pin_current_thread(cpu);
     }
+    let bell = &sh.bells[p];
+    bell.bind();
     let ring = sh.rings.map(|rs| &rs[p]);
     let mut drv = Worker {
         sh,
@@ -994,14 +1070,19 @@ where
         (sh.init)(d, unsafe { sh.heaps[p].slice_mut(off, g.obj_size(d)) });
     }
 
-    let mut pacer = Pacer::new();
+    let mut pacer = Pacer::new(sh.oversubscribed);
+    // A step taken by the sleep handshake, still to be handled.
+    let mut next = None;
     loop {
-        match core.step(&mut drv) {
+        match next.take().unwrap_or_else(|| core.step(&mut drv)) {
             Ok(Step::Done) => break,
             Ok(Step::Ran) | Ok(Step::Blocked(true)) => pacer.mark(),
             Ok(Step::Blocked(false)) => {
                 if sh.poison.load(AtOrd::Acquire) {
                     break;
+                }
+                if pacer.poll() {
+                    continue;
                 }
                 if pacer.stalled(sh.watchdog) {
                     let nprocs = env.sched.assign.nprocs;
@@ -1030,7 +1111,17 @@ where
                     });
                     break;
                 }
-                pacer.wait(core.port_mut());
+                // Out of polls: announce, re-check once (a full step,
+                // whose service round also flushes the port), then sleep
+                // unless the re-check or the poison flag found work.
+                bell.announce();
+                let again = core.step(&mut drv);
+                if matches!(again, Ok(Step::Blocked(false))) && !sh.poison.load(AtOrd::Acquire) {
+                    bell.sleep(SLEEP);
+                } else {
+                    bell.retract();
+                    next = Some(again);
+                }
             }
             Err(e) => {
                 fail(e);
@@ -1216,6 +1307,32 @@ mod tests {
             .expect("steady progress must never trip the watchdog");
         assert!(out.wall > exec.watchdog, "test must outlive the watchdog");
         assert_eq!(out.objects, run_sequential(&g, test_body));
+    }
+
+    /// The doorbell's oversubscribed path on real threads: a 40k-task
+    /// ping-pong chain on one more worker than there are online cores,
+    /// so waits skip the spin budget. Each task busy-waits 20 µs, longer
+    /// than a waiter's few yields, so hops end sleeps; rings that never
+    /// arrived would leave them to the 1 ms timeout (about 20 s in all,
+    /// as the waiters' sleeps overlap).
+    #[test]
+    fn oversubscribed_ping_pong_chain_completes() {
+        let nprocs = online_cores() + 1;
+        let k = 40_000;
+        let (g, sched) = fixtures::ping_pong_chain(k, nprocs as u32);
+        let exec =
+            ThreadedExecutor::new(&g, &sched, k as u64).with_watchdog(Duration::from_secs(5));
+        let out = exec
+            .run(|t, ctx| {
+                let t0 = Instant::now();
+                while t0.elapsed() < Duration::from_micros(20) {
+                    std::hint::spin_loop();
+                }
+                test_body(t, ctx)
+            })
+            .expect("the chain completes under the watchdog");
+        assert_eq!(out.objects, run_sequential(&g, test_body));
+        assert!(out.wall < Duration::from_secs(10), "hops waited out their sleeps: {:?}", out.wall);
     }
 
     /// Pooled-ring reuse regression (satellite): a traced run whose rings

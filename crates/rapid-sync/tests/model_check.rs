@@ -1,14 +1,18 @@
-//! Exhaustive interleaving checks of the four audited runtime cores, plus
-//! the seeded mutation corpus that validates the checker itself: every GOOD
-//! configuration must pass with the full bounded state space explored, and
-//! every mutant (weakened ordering / deleted fence / logic slip) must be
-//! refuted with a named, reproducible counterexample trace.
+//! Exhaustive interleaving checks of the four audited runtime cores and
+//! the shipped doorbell, plus the seeded mutation corpus that validates the
+//! checker itself: every GOOD configuration must pass with the full bounded
+//! state space explored, and every mutant (weakened ordering / deleted
+//! fence / logic slip) must be refuted with a named, reproducible
+//! counterexample trace.
 //!
 //! Runs in tier-1 debug tests (instrumentation is on under
 //! `debug_assertions`) and again in release in the CI `model-check` job via
 //! `RUSTFLAGS="--cfg rapid_model_check"`.
 
-use rapid_sync::model::{self, Config, Counterexample};
+use std::rc::Rc;
+
+use rapid_machine::rma::{Doorbell, DoorbellMutant, FlagBoard, DOORBELL_MUTANTS};
+use rapid_sync::model::{self, Config, Counterexample, Sim};
 use rapid_sync::models::{agg, mailbox, ring, sentguard};
 use rapid_sync::{Ordering, SyncAtomicU64};
 
@@ -107,6 +111,75 @@ fn sentguard_mutants_all_caught() {
     for (name, mutant) in sentguard::mutants() {
         let cex = model::require_violation(name, cfg(), sentguard::scenario(mutant));
         assert_named_cex(name, &cex);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Doorbell sleep/ring handshake (the shipped type, not a re-encoding)
+// ---------------------------------------------------------------------------
+
+/// The threaded executor's wait: a ringer raises an arrival flag and rings
+/// the destination's bell; the sleeper announces, re-checks the flag once
+/// and sleeps if it is still down. A lost wake-up is a sleeper that sleeps
+/// on a down flag while the ringer saw no announcement (so unparked no
+/// one). Both sides run the real `FlagBoard` and `Doorbell` code; the
+/// park itself is not modelled — `std`'s park token covers a ring landing
+/// after the re-check, so the decision is the whole race.
+fn doorbell_scenario(mutant: DoorbellMutant) -> impl Fn(&mut Sim) {
+    move |sim: &mut Sim| {
+        let flags = Rc::new(FlagBoard::new(1));
+        let bell = Rc::new(Doorbell::with_mutant(mutant));
+        flags.label(0, "flag");
+        bell.label("sleeping");
+
+        // Ringer (t1): publish, then ring; note whether it found a sleeper.
+        {
+            let (flags, bell) = (Rc::clone(&flags), Rc::clone(&bell));
+            sim.thread(move || {
+                flags.raise(0);
+                model::out(u64::from(bell.ring()));
+            });
+        }
+
+        // Sleeper (t2): announce, re-check, then sleep or retract; note
+        // whether it went to sleep.
+        {
+            let (flags, bell) = (Rc::clone(&flags), Rc::clone(&bell));
+            sim.thread(move || {
+                bell.announce();
+                let sleeps = !flags.is_raised(0);
+                if !sleeps {
+                    bell.retract();
+                }
+                model::out(u64::from(sleeps));
+            });
+        }
+
+        sim.finally(|| {
+            let outs = model::outputs();
+            let (rang, slept) = (outs[1] == [1], outs[2] == [1]);
+            assert!(!slept || rang, "lost wake-up: the sleeper slept on a raised flag unrung");
+        });
+    }
+}
+
+#[test]
+fn doorbell_good_passes_exhaustively() {
+    let stats =
+        model::check_passes("doorbell-good", cfg(), doorbell_scenario(DoorbellMutant::None));
+    println!(
+        "doorbell-good: {} executions ({} pruned), {} steps",
+        stats.executions, stats.pruned, stats.steps
+    );
+    assert!(stats.executions > 5, "state space was actually explored");
+}
+
+#[test]
+fn doorbell_mutants_all_caught() {
+    for (name, mutant) in DOORBELL_MUTANTS {
+        let cex = model::require_violation(name, cfg(), doorbell_scenario(mutant));
+        assert_named_cex(name, &cex);
+        assert!(cex.render().contains("lost wake-up"), "`{name}` is refuted by a lost wake-up");
     }
 }
 

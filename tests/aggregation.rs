@@ -5,7 +5,8 @@
 //! direct (single-slot) backend, (c) the same fault-tolerance contract
 //! as the direct backend under the full chaos matrix, and (d) progress
 //! even when the flush threshold is so large that only the service-loop
-//! / pre-park / END-barrier flushes ever deliver anything.
+//! (including the last one before a worker sleeps) and END-barrier
+//! flushes ever deliver anything.
 //!
 //! The one observable difference aggregation is *allowed* to make is
 //! mailbox occupancy: more than one package may be in flight per
@@ -299,8 +300,9 @@ fn recovery_heals_transient_panic_under_aggregation() {
 fn unbounded_threshold_never_starves_the_flush() {
     // Regression for flush starvation: with `usize::MAX` as threshold no
     // package ever flushes on count, so delivery relies entirely on the
-    // service-round flush, the pre-park flush in `Backoff`, and the END
-    // barrier draining `Port::pending()`. A short watchdog turns any
+    // service-round flush (also run by the last step before a worker
+    // sleeps), the MAP-end flush, and the END barrier draining
+    // `Port::pending()`. A short watchdog turns any
     // missed flush path into a hard `Stalled` failure instead of a
     // 30-second hang. The tight memory cap maximizes suspended sends and
     // MAP blocking, i.e. the windows where a buffered package is the
